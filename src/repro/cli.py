@@ -84,6 +84,44 @@ def _add_jobs_args(p: argparse.ArgumentParser) -> None:
                    "blocks/s and burst blocks (implies --jobs)")
 
 
+def _add_volume_args(p: argparse.ArgumentParser, scheme_help: str) -> None:
+    """Base trace families and the scheme (run-multi/run-cluster)."""
+    p.add_argument("--trace", action="append", required=True, dest="traces",
+                   choices=["web-vm", "homes", "mail"], metavar="NAME",
+                   help="base trace family (repeatable); each family is "
+                   "expanded into --copies tenant volumes")
+    p.add_argument("--scheme", default="POD", help=scheme_help)
+
+
+def _add_tenant_args(p: argparse.ArgumentParser, skew_help: str) -> None:
+    """How each family expands into tenant volumes."""
+    p.add_argument("--copies", type=int, default=2,
+                   help="tenant clones per base trace (default 2)")
+    p.add_argument("--divergence", type=float, default=0.15,
+                   help="fraction of each clone's content privatised "
+                   "away from the golden image (default 0.15)")
+    p.add_argument("--skew", type=float, default=0.5, help=skew_help)
+
+
+def _add_seed_arg(p: argparse.ArgumentParser, recorded_in: str = "report") -> None:
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"trace-generator seed (recorded in the {recorded_in})")
+
+
+def _add_fault_args(p: argparse.ArgumentParser, plan_help: str) -> None:
+    """A deterministic fault plan and its seed override."""
+    p.add_argument("--faults", default=None, metavar="PLAN.json", help=plan_help)
+    p.add_argument("--fault-seed", type=int, default=None, metavar="N",
+                   help="override the fault plan's RNG seed "
+                   "(requires --faults)")
+
+
+def _add_sanitize_every_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sanitize-every", type=int, default=1000, metavar="N",
+                   help="structural-check cadence in requests "
+                   "(with --check-invariants; default 1000)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.baselines.registry import DEFAULT_REGISTRY
 
@@ -110,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--raid", choices=["raid5", "raid0", "single"], default="raid5")
     run.add_argument("--ndisks", type=int, default=None,
                      help="member disks (default 4 for raid5/raid0, 1 for single)")
-    run.add_argument("--seed", type=int, default=None,
-                     help="trace-generator seed (recorded in the run report)")
+    _add_seed_arg(run, "run report")
     run.add_argument("--trace-level", choices=["off", "summary", "request", "chunk"],
                      default=None,
                      help="event-recording verbosity (default: request when "
@@ -125,12 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "(Map/Index tables, iCache budgets, NVRAM model) "
                      "periodically during the replay; fails loudly on the "
                      "first violation and never changes simulated times")
-    run.add_argument("--faults", default=None, metavar="PLAN.json",
-                     help="arm a deterministic fault plan (JSON, see "
-                     "docs/robustness.md and examples/faults.json)")
-    run.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                     help="override the fault plan's RNG seed "
-                     "(requires --faults)")
+    _add_fault_args(run, "arm a deterministic fault plan (JSON, see "
+                    "docs/robustness.md and examples/faults.json)")
     run.add_argument("--batch-size", type=int, default=None, metavar="N",
                      help="replay through the columnar batch driver, planning "
                           "N requests per batch (bit-identical to the default "
@@ -141,9 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "chunk bounds in 4 KB blocks (AVG must be a power "
                           "of two); ALGO is 'gear' or 'rabin', and a bare "
                           "'gear'/'rabin' takes the default bounds (2:4:16)")
-    run.add_argument("--sanitize-every", type=int, default=1000, metavar="N",
-                     help="structural-check cadence in requests "
-                     "(with --check-invariants; default 1000)")
+    _add_sanitize_every_arg(run)
     _add_telemetry_args(run)
     _add_jobs_args(run)
 
@@ -151,40 +182,23 @@ def build_parser() -> argparse.ArgumentParser:
         "run-multi",
         help="replay several tenant volumes through one shared dedup domain",
     )
-    multi.add_argument("--trace", action="append", required=True, dest="traces",
-                       choices=["web-vm", "homes", "mail"], metavar="NAME",
-                       help="base trace family (repeatable); each family is "
-                       "expanded into --copies tenant volumes")
-    multi.add_argument("--scheme", default="POD", help=scheme_help)
-    multi.add_argument("--copies", type=int, default=2,
-                       help="tenant clones per base trace (default 2)")
-    multi.add_argument("--divergence", type=float, default=0.15,
-                       help="fraction of each clone's content privatised "
-                       "away from the golden image (default 0.15)")
-    multi.add_argument("--skew", type=float, default=0.5,
-                       help="per-tenant arrival-rate skew exponent; tenant k "
-                       "runs at (k+1)^-skew of the base rate (default 0.5)")
+    _add_volume_args(multi, scheme_help)
+    _add_tenant_args(multi, "per-tenant arrival-rate skew exponent; tenant k "
+                     "runs at (k+1)^-skew of the base rate (default 0.5)")
     multi.add_argument("--scale", type=float, default=0.1)
-    multi.add_argument("--seed", type=int, default=None,
-                       help="trace-generator seed (recorded in the report)")
+    _add_seed_arg(multi)
     multi.add_argument("--report-out", default=None, metavar="FILE.json",
                        help="write the run report with the per-volume section")
     multi.add_argument("--check-invariants", action="store_true",
                        help="validate every POD invariant during the replay")
-    multi.add_argument("--faults", default=None, metavar="PLAN.json",
-                       help="arm a deterministic fault plan (JSON)")
-    multi.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                       help="override the fault plan's RNG seed "
-                       "(requires --faults)")
+    _add_fault_args(multi, "arm a deterministic fault plan (JSON)")
     multi.add_argument("--batch-size", type=int, default=None, metavar="N",
                        help="replay through the columnar batch driver "
                             "(bit-identical to the event loop; incompatible "
                             "configs fall back silently)")
     multi.add_argument("--chunking", default=None, metavar="MIN:AVG:MAX",
                        help="enable content-defined chunking (see 'run')")
-    multi.add_argument("--sanitize-every", type=int, default=1000, metavar="N",
-                       help="structural-check cadence in requests "
-                       "(with --check-invariants; default 1000)")
+    _add_sanitize_every_arg(multi)
     _add_telemetry_args(multi)
     _add_jobs_args(multi)
 
@@ -192,25 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
         "run-cluster",
         help="replay the tenant volumes across a sharded multi-node cluster",
     )
-    cluster.add_argument("--trace", action="append", required=True, dest="traces",
-                         choices=["web-vm", "homes", "mail"], metavar="NAME",
-                         help="base trace family (repeatable); each family is "
-                         "expanded into --copies tenant volumes")
-    cluster.add_argument("--scheme", default="POD", help=scheme_help)
+    _add_volume_args(cluster, scheme_help)
     cluster.add_argument("--nodes", type=int, default=2,
                          help="POD nodes in the cluster (default 2); volumes "
                          "are assigned round-robin")
-    cluster.add_argument("--copies", type=int, default=2,
-                         help="tenant clones per base trace (default 2)")
-    cluster.add_argument("--divergence", type=float, default=0.15,
-                         help="fraction of each clone's content privatised "
-                         "away from the golden image (default 0.15)")
-    cluster.add_argument("--skew", type=float, default=0.5,
-                         help="per-tenant arrival-rate skew exponent "
-                         "(default 0.5)")
+    _add_tenant_args(cluster, "per-tenant arrival-rate skew exponent "
+                     "(default 0.5)")
     cluster.add_argument("--scale", type=float, default=0.1)
-    cluster.add_argument("--seed", type=int, default=None,
-                         help="trace-generator seed (recorded in the report)")
+    _add_seed_arg(cluster)
     cluster.add_argument("--vnodes", type=int, default=None,
                          help="virtual nodes per member on the hash ring "
                          "(default 64)")
@@ -284,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--check-invariants", action="store_true",
                          help="validate every POD invariant on every node "
                          "during the replay")
-    cluster.add_argument("--sanitize-every", type=int, default=1000, metavar="N",
-                         help="structural-check cadence in requests "
-                         "(with --check-invariants; default 1000)")
+    _add_sanitize_every_arg(cluster)
     cluster.add_argument("--report-out", default=None, metavar="FILE.json",
                          help="write the run report with per-node and "
                          "cluster sections")
@@ -296,18 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="replay one trace through every scheme")
     compare.add_argument("--trace", required=True, choices=["web-vm", "homes", "mail"])
     compare.add_argument("--scale", type=float, default=0.1)
-    compare.add_argument("--seed", type=int, default=None,
-                         help="trace-generator seed (recorded in the report)")
+    _add_seed_arg(compare)
     compare.add_argument("--report-out", default=None, metavar="FILE.json",
                          help="write a compare report bundling every run report")
     compare.add_argument("--check-invariants", action="store_true",
                          help="validate every POD invariant during each replay")
-    compare.add_argument("--faults", default=None, metavar="PLAN.json",
-                         help="arm the same deterministic fault plan against "
-                         "every scheme (JSON)")
-    compare.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                         help="override the fault plan's RNG seed "
-                         "(requires --faults)")
+    _add_fault_args(compare, "arm the same deterministic fault plan against "
+                    "every scheme (JSON)")
 
     lint = sub.add_parser(
         "lint", help="run the POD determinism linter (POD001..POD007; "

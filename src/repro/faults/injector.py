@@ -47,6 +47,7 @@ in the run report via the replay's metrics registry.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 import numpy as np
@@ -150,7 +151,7 @@ class FaultInjector:
             disk, disk_pba, _row = sim.raid.locate(vpba)
             self._lse_by_disk.setdefault(disk, {})[disk_pba] = vpba
         if self._lse_by_disk:
-            sim.fault_hook = self.on_disk_op
+            sim.fault_hook = functools.partial(self.on_disk_op, sim)
         self._count("lse_injected", len(lse_pbas))
 
         # -- fail-slow windows -----------------------------------------
@@ -324,14 +325,14 @@ class FaultInjector:
         sim.failed_disk = spec.disk
         self._member_failed_at = sim.now
         self._count("member_failures")
-        su = sim.raid.geometry.stripe_unit_blocks
-        disk_rows = max(1, sim.disks[spec.disk].params.total_blocks // su)
         live = (
             scheme.map_table.live_pbas(scheme.written_lbas)
             if spec.capacity_aware
             else None
         )
-        ctrl = RebuildController(sim.raid, spec.disk, disk_rows, live)
+        ctrl = RebuildController.for_disk(
+            sim.raid, spec.disk, sim.disks[spec.disk], live
+        )
         self.rebuild = ctrl
         if self.timeline is not None:
             self.timeline.note_activity(sim.now, "degraded", 1.0)
@@ -339,27 +340,23 @@ class FaultInjector:
             self.obs.emit(
                 TraceLevel.SUMMARY, sim.now, EventType.FAULT_INJECT,
                 kind="member_failure",
-                detail=f"disk {spec.disk} failed; rebuilding {disk_rows} rows",
+                detail=f"disk {spec.disk} failed; rebuilding {ctrl.disk_rows} rows",
             )
-        if self.jobs is not None:
-            # Jobs armed: the rebuild runs as a leased job -- a worker
-            # claims it, paces the same batches, and survives stale
-            # leases via epoch-fenced re-claim.
-            from repro.jobs.jobs import RebuildJob
+        # With jobs armed the rebuild is a leased job: a worker claims
+        # it, paces the same batches, and survives stale leases via
+        # epoch-fenced re-claim.
+        from repro.jobs.jobs import pace_rebuild
 
-            def issue(ops: List[DiskOp]) -> float:
-                holder: Dict[str, float] = {}
-                sim.issue_disk_ops(ops, lambda t: holder.setdefault("t", t))
-                return holder.get("t", sim.now)
-
-            self.jobs.submit(
-                "rebuild",
-                RebuildJob(ctrl, spec.rows_per_batch, issue),
-                spec.interval,
-                on_done=lambda _t: self._complete_member_failure(sim, spec),
-            )
-            return
-        sim.schedule_callback(sim.now + spec.interval, self._rebuild_tick, sim, spec)
+        pace_rebuild(
+            sim,
+            ctrl,
+            spec.rows_per_batch,
+            spec.interval,
+            lambda ops: sim.service_disk_ops(sim.now, ops),
+            lambda: self._complete_member_failure(sim, spec),
+            self.jobs,
+            self.timeline,
+        )
 
     def _complete_member_failure(
         self, sim: "Simulator", spec: MemberFailureSpec
@@ -386,22 +383,6 @@ class FaultInjector:
                     f"rebuilt, {ctrl.rows_skipped} skipped"
                 ),
             )
-
-    def _rebuild_tick(self, sim: "Simulator", spec: MemberFailureSpec) -> None:
-        ctrl = self.rebuild
-        assert ctrl is not None
-        if not ctrl.done:
-            ops = ctrl.next_batch(spec.rows_per_batch)
-            if ops:
-                # Background load: competes for the spindles, gates
-                # nothing.
-                sim.issue_disk_ops(ops, lambda _t: None)
-        if self.timeline is not None:
-            self.timeline.note_activity(sim.now, "rebuild", ctrl.progress)
-        if ctrl.done:
-            self._complete_member_failure(sim, spec)
-            return
-        sim.schedule_callback(sim.now + spec.interval, self._rebuild_tick, sim, spec)
 
     # ------------------------------------------------------------------
     # NVRAM power loss + journal recovery
@@ -637,11 +618,5 @@ class FaultInjector:
             "oracle": self.oracle.summary(),
         }
         if self.rebuild is not None:
-            out["rebuild"] = {
-                "done": self.rebuild.done,
-                "progress": self.rebuild.progress,
-                "rows_scanned": self.rebuild.rows_scanned,
-                "rows_rebuilt": self.rebuild.rows_rebuilt,
-                "rows_skipped": self.rebuild.rows_skipped,
-            }
+            out["rebuild"] = self.rebuild.summary()
         return out

@@ -29,13 +29,16 @@ Three job kinds exist today:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import JobError
 from repro.sim.request import DiskOp
 
 if TYPE_CHECKING:  # avoid import cycles; closures duck-type at runtime
     from repro.cluster.rebalance import ShardMigrator
+    from repro.jobs.runtime import JobRuntime
+    from repro.obs.timeline import TimelineSampler
+    from repro.sim.engine import Simulator
     from repro.storage.rebuild import RebuildController
 
 #: Issues planned disk ops as background load; returns the completion time.
@@ -129,6 +132,50 @@ class RebuildJob(LeasedJob):
             "rows_rebuilt": self.ctrl.rows_rebuilt,
             "rows_skipped": self.ctrl.rows_skipped,
         }
+
+
+def pace_rebuild(
+    sim: "Simulator",
+    ctrl: "RebuildController",
+    rows_per_batch: int,
+    interval: float,
+    issue: IssueFn,
+    on_done: Callable[[], None],
+    jobs: Optional["JobRuntime"] = None,
+    timeline: Optional["TimelineSampler"] = None,
+) -> None:
+    """Reconstruct ``ctrl``'s member as paced background load on
+    ``issue``: a leased :class:`RebuildJob` when ``jobs`` is armed,
+    else one batch every ``interval`` with its progress noted on
+    ``timeline``.  ``on_done()`` runs once the member is rebuilt.
+
+    The fault injector's member failure and the cluster's node failure
+    both rebuild through here.
+    """
+    if jobs is not None:
+        jobs.submit(
+            "rebuild",
+            RebuildJob(ctrl, rows_per_batch, issue),
+            interval,
+            on_done=lambda _t: on_done(),
+        )
+        return
+
+    def tick() -> None:
+        if not ctrl.done:
+            ops = ctrl.next_batch(rows_per_batch)
+            if ops:
+                # Background load: competes for the spindles, gates
+                # nothing.
+                issue(ops)
+        if timeline is not None:
+            timeline.note_activity(sim.now, "rebuild", ctrl.progress)
+        if ctrl.done:
+            on_done()
+            return
+        sim.schedule_callback(sim.now + interval, tick)
+
+    sim.schedule_callback(sim.now + interval, tick)
 
 
 class MigrationJob(LeasedJob):

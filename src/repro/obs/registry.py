@@ -130,10 +130,6 @@ class Histogram:
         else:
             self.counts[i] += 1
 
-    def observe_many(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.observe(v)
-
     # ------------------------------------------------------------------
 
     @property

@@ -35,9 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.scheduler import DiskScheduler
 
 #: Fault-injection hook signature: consulted per disk op on the
-#: analytic path; returns a completion time to override normal
-#: service, or ``None`` to fall through.
-FaultHook = Callable[["Simulator", float, DiskOp], Optional[float]]
+#: analytic path with ``(now, op)``; returns a completion time to
+#: override normal service, or ``None`` to fall through.
+FaultHook = Callable[[float, DiskOp], Optional[float]]
 
 
 class Simulator:
@@ -103,23 +103,10 @@ class Simulator:
         """Attach a trace recorder for disk-level micro-events."""
         self.obs = recorder
 
-    def queue_lag(self, now: float) -> float:
-        """Worst backlog across member disks: how far the busiest
-        disk's busy horizon extends past ``now`` (0 when idle).  The
-        timeline sampler records this as a per-window gauge."""
-        lag = 0.0
-        for disk in self.disks:
-            d = disk.busy_until - now
-            if d > lag:
-                lag = d
-        return lag
-
-    def _translate(self, vop: VolumeOp) -> List[DiskOp]:
+    def _translate(self, ops: Sequence[VolumeOp]) -> List[DiskOp]:
         if self.raid is None:
             raise SimulationError("bare event-loop engine cannot translate volume ops")
-        if self.failed_disk is not None:
-            return self.raid.map_degraded(vop, self.failed_disk)
-        return self.raid.map(vop)
+        return raid_translate(self.raid, self.failed_disk, ops)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -152,42 +139,11 @@ class Simulator:
                 "analytic service is unavailable with event-driven "
                 "schedulers; use issue_disk_ops"
             )
-        completion = now
-        trace_ops = self.obs.level >= TraceLevel.CHUNK
-        for op in ops:
-            if not (0 <= op.disk_id < len(self.disks)):
-                raise SimulationError(f"op addressed to unknown disk {op.disk_id}")
-            if self.fault_hook is not None:
-                hooked = self.fault_hook(self, now, op)
-                if hooked is not None:
-                    if hooked > completion:
-                        completion = hooked
-                    continue
-            disk = self.disks[op.disk_id]
-            busy_before = disk.busy_until if trace_ops else 0.0
-            done = disk.service(now, op.pba, op.nblocks)
-            if trace_ops:
-                self.obs.emit(
-                    TraceLevel.CHUNK,
-                    now,
-                    EventType.DISK_OP,
-                    disk=op.disk_id,
-                    op=op.op.value,
-                    pba=op.pba,
-                    nblocks=op.nblocks,
-                    start=max(now, busy_before),
-                    done=done,
-                )
-            if done > completion:
-                completion = done
-        return completion
+        return service_fcfs(self.disks, self.obs, now, ops, self.fault_hook)
 
     def service_volume_ops(self, now: float, ops: Sequence[VolumeOp]) -> float:
         """Translate volume extents through RAID and service them."""
-        disk_ops: List[DiskOp] = []
-        for vop in ops:
-            disk_ops.extend(self._translate(vop))
-        return self.service_disk_ops(now, disk_ops)
+        return self.service_disk_ops(now, self._translate(ops))
 
     # ------------------------------------------------------------------
     # callback-style issue (works in both service modes)
@@ -226,10 +182,7 @@ class Simulator:
         self, ops: Sequence[VolumeOp], on_complete: Callable[[float], None]
     ) -> None:
         """RAID-translate and issue with a completion callback."""
-        disk_ops: List[DiskOp] = []
-        for vop in ops:
-            disk_ops.extend(self._translate(vop))
-        self.issue_disk_ops(disk_ops, on_complete)
+        self.issue_disk_ops(self._translate(ops), on_complete)
 
     # ------------------------------------------------------------------
     # main loop
@@ -295,12 +248,83 @@ class Simulator:
         return disk_utilisation(self.disks)
 
 
-def disk_utilisation(disks: Sequence[Disk]) -> Dict[int, Dict[str, float]]:
-    """Per-disk utilisation summary for any disk set.
+def raid_translate(
+    raid: RaidArray, failed_disk: Optional[int], ops: Sequence[VolumeOp]
+) -> List[DiskOp]:
+    """Map volume extents onto member-disk ops (degraded reads
+    reconstruct around ``failed_disk``)."""
+    disk_ops: List[DiskOp] = []
+    for vop in ops:
+        if failed_disk is not None:
+            disk_ops.extend(raid.map_degraded(vop, failed_disk))
+        else:
+            disk_ops.extend(raid.map(vop))
+    return disk_ops
 
-    Shared by the engine and the columnar batch driver (which services
-    disks without a :class:`Simulator`) so both report identically.
+
+def service_fcfs(
+    disks: Sequence[Disk],
+    obs: TraceRecorder,
+    now: float,
+    ops: Sequence[DiskOp],
+    fault_hook: Optional[FaultHook] = None,
+) -> float:
+    """Service raw per-disk ops FCFS at ``now``; return the last
+    completion time (``now`` for an empty list).
+
+    The one analytic service loop: the engine's array and every
+    cluster node's private array go through it.  ``DISK_OP`` events
+    name the disk by its ``disk_id``, which is cluster-unique on a
+    node and equal to the member index on a single array.
     """
+    completion = now
+    trace_ops = obs.level >= TraceLevel.CHUNK
+    ndisks = len(disks)
+    for op in ops:
+        if not (0 <= op.disk_id < ndisks):
+            raise SimulationError(f"op addressed to unknown disk {op.disk_id}")
+        if fault_hook is not None:
+            hooked = fault_hook(now, op)
+            if hooked is not None:
+                if hooked > completion:
+                    completion = hooked
+                continue
+        disk = disks[op.disk_id]
+        busy_before = disk.busy_until if trace_ops else 0.0
+        done = disk.service(now, op.pba, op.nblocks)
+        if trace_ops:
+            obs.emit(
+                TraceLevel.CHUNK,
+                now,
+                EventType.DISK_OP,
+                disk=disk.disk_id,
+                op=op.op.value,
+                pba=op.pba,
+                nblocks=op.nblocks,
+                start=max(now, busy_before),
+                done=done,
+            )
+        if done > completion:
+            completion = done
+    return completion
+
+
+def queue_lag(disks: Sequence[Disk], now: float) -> float:
+    """Worst backlog across ``disks``: how far the busiest disk's busy
+    horizon extends past ``now`` (0 when idle).  The timeline sampler
+    records this as a per-window gauge."""
+    lag = 0.0
+    for disk in disks:
+        d = disk.busy_until - now
+        if d > lag:
+            lag = d
+    return lag
+
+
+def disk_utilisation(disks: Sequence[Disk]) -> Dict[int, Dict[str, float]]:
+    """Per-disk utilisation summary for any disk set, keyed by
+    ``disk_id`` (the engine, every cluster node and the columnar batch
+    driver all report through it)."""
     return {
         disk.disk_id: {
             "ops": disk.ops_serviced,

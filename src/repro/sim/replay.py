@@ -6,54 +6,46 @@ queue rather than slowing the workload down), the first part of the
 trace warms the caches and is excluded from the metrics, and user
 response time is completion minus arrival.
 
-Per request, the scheme plans a :class:`PlannedIO`: a processing delay
-(fingerprinting), the extent ops the request must wait for, and
-optional background ops (iCache swap traffic) that load the disks
-without gating completion.  Schemes with an ``epoch_interval`` get a
-periodic callback for cache management.
+Per request, the scheme plans a :class:`~repro.baselines.base.PlannedIO`:
+a processing delay (fingerprinting), the extent ops the request must
+wait for, and optional background ops (iCache swap traffic) that load
+the disks without gating completion.
 
-Two replay drivers share one engine loop:
-
-* :func:`replay_trace` -- the classic single-volume replay;
-* :func:`replay_traces` -- N timestamped trace streams merge-sorted
-  open-loop onto one array, each stream mapped to its own
-  :class:`~repro.storage.namespace.VolumeNamespace` inside one shared
-  dedup domain (the paper's cross-VM cloud scenario, Section I).
-  ``replay_trace`` is exactly the N=1 special case: a single-volume
-  replay through either entry point is bit-identical (pinned by the
-  golden regression tests).
+:func:`replay_traces` merge-sorts N timestamped streams open-loop onto
+one array, each stream mapped to its own
+:class:`~repro.storage.namespace.VolumeNamespace` inside one shared
+dedup domain (the paper's cross-VM cloud scenario, Section I);
+:func:`replay_trace` is its N=1 case.  Both run the request pipeline
+(:mod:`repro.sim.pipeline`) over one node whose disks are the engine's
+array; an armed fault plan adds the injector's disk hook and its
+crash-recovery arrival stall.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.sanitizer import PodSanitizer
-from repro.baselines.base import DedupScheme, PlannedIO
+from repro.baselines.base import DedupScheme
 from repro.constants import BLOCKS_PER_STRIPE_UNIT
 from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.jobs.admission import AdmissionController
-from repro.jobs.jobs import ScrubJob
 from repro.jobs.plan import JobsConfig
-from repro.jobs.runtime import JobRuntime
 from repro.metrics.collector import MetricsCollector
-from repro.obs.events import EventType, TraceLevel
-from repro.obs.slo import SloPolicy, evaluate_slo
+from repro.obs.slo import SloPolicy
 from repro.obs.spans import SpanTracer
 from repro.obs.timeline import TimelineConfig, TimelineSampler
-from repro.obs.trace import NULL_RECORDER, TraceRecorder
+from repro.obs.trace import TraceRecorder
 from repro.sim.engine import Simulator
-from repro.sim.request import IORequest, OpType
-from repro.storage.disk import Disk, DiskParams
+from repro.sim.request import OpType
+from repro.storage.disk import DiskParams
 from repro.storage.namespace import NamespaceMapper
 from repro.storage.raid import RaidArray, RaidGeometry, RaidLevel
 from repro.storage.scheduler import DiskScheduler, SchedulingPolicy
-from repro.storage.ssd import Ssd, SsdParams
+from repro.storage.ssd import SsdParams
 from repro.storage.volume import VolumeOp
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.format import Trace
@@ -203,8 +195,12 @@ class ReplayResult:
         return out
 
 
-def _size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
-    """Pick per-disk capacity so the array exposes the needed volume."""
+def size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
+    """Pick per-disk capacity so the array exposes the needed volume.
+
+    Every driver sizes its arrays (a cluster node's private one too)
+    with this one rule -- a bit-identity requirement.
+    """
     geometry = config.geometry()
     data_disks = geometry.data_disks
     su = geometry.stripe_unit_blocks
@@ -222,58 +218,6 @@ def _size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
         transfer_rate=base.transfer_rate,
         controller_overhead=base.controller_overhead,
     )
-
-
-def size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
-    """Public accessor for the disk-sizing rule (the cluster replay
-    sizes each node's private array with exactly the same arithmetic
-    as the single-node replay -- a bit-identity requirement)."""
-    return _size_disks(total_volume_blocks, config)
-
-
-def _merge_streams(
-    traces: Sequence[Trace], mapper: NamespaceMapper
-) -> Tuple[List[IORequest], List[bool]]:
-    """Merge-sort N timestamped streams into one global request list.
-
-    Each stream's requests are rebased into its volume's slice of the
-    shared domain and tagged with the volume id; global ``req_id``s
-    are assigned in merged order.  The merge is stable: equal
-    timestamps keep volume order, so the merged stream is a pure
-    function of its inputs (determinism).  Returns the requests plus a
-    parallel measured-flag list (a request is measured when it is past
-    its *own* volume's warm-up prefix).
-
-    For N=1 this degenerates to exactly ``list(trace.requests())``
-    with ``measured[i] = i >= warmup_count`` -- the classic path.
-    """
-
-    def stream(vid: int, trace: Trace) -> Iterator[Tuple[float, int, IORequest, bool]]:
-        base = mapper.volume(vid).base
-        warmup = trace.warmup_count
-        for i, rec in enumerate(trace.records):
-            req = IORequest(
-                time=rec.time,
-                op=rec.op,
-                lba=base + rec.lba,
-                nblocks=rec.nblocks,
-                fingerprints=rec.fingerprints,
-                req_id=-1,
-                volume_id=vid,
-            )
-            yield rec.time, vid, req, i >= warmup
-
-    merged = heapq.merge(
-        *(stream(vid, t) for vid, t in enumerate(traces)),
-        key=lambda item: item[0],
-    )
-    requests: List[IORequest] = []
-    measured: List[bool] = []
-    for req_id, (_t, _vid, req, is_measured) in enumerate(merged):
-        req.req_id = req_id
-        requests.append(req)
-        measured.append(is_measured)
-    return requests, measured
 
 
 def replay_trace(
@@ -361,6 +305,8 @@ def replay_traces(
                 batch_size=batch_size,
                 per_volume_metrics=per_volume_metrics,
             )
+    from repro.sim.pipeline import Node, RequestPipeline, node_disks
+
     # Columnar inputs that did not take the batch driver (or were
     # passed with batch_size=None) materialise back to request-level
     # traces -- the round-trip is lossless, so the result is identical.
@@ -368,418 +314,74 @@ def replay_traces(
         t.to_trace() if isinstance(t, ColumnarTrace) else t for t in traces
     ]
     mapper = NamespaceMapper((t.name, t.logical_blocks) for t in traces)
-    multi = len(traces) > 1
-    if mapper.total_logical_blocks > scheme.regions.logical_blocks:
-        raise ConfigError(
-            f"trace touches {mapper.total_logical_blocks} logical blocks but "
-            f"the scheme was configured for {scheme.regions.logical_blocks}"
-        )
-    geometry = config.geometry()
-    params = _size_disks(scheme.regions.total_blocks, config)
-    disks = [Disk(params, disk_id=i) for i in range(geometry.ndisks)]
+    disks = node_disks(scheme, config, mapper.total_logical_blocks)
     schedulers = (
         [DiskScheduler(disk, config.scheduler) for disk in disks]
         if config.scheduler is not None
         else None
     )
-    array = RaidArray(geometry)
+    array = RaidArray(config.geometry())
     sim = Simulator(
         disks,
         array,
         schedulers=schedulers,
         failed_disk=config.failed_disk,
     )
-    metrics = collector if collector is not None else MetricsCollector()
-    if per_volume_metrics:
-        metrics.track_volumes()
-    ssd = Ssd(config.ssd_params) if config.ssd_params is not None else None
-
-    # Telemetry (all observation only; None = zero-overhead off path).
-    tl_config = config.effective_timeline()
-    sampler: Optional[TimelineSampler] = (
-        TimelineSampler(tl_config, policy=config.slo)
-        if tl_config is not None
-        else None
-    )
-    if sampler is not None:
-        metrics.attach_timeline(sampler)
-    tracer: Optional[SpanTracer] = SpanTracer() if config.spans else None
-    if tracer is not None:
-        scheme.spans = tracer
-
-    obs = recorder if recorder is not None else NULL_RECORDER
-    if recorder is not None:
-        scheme.attach_observer(recorder)
-        sim.attach_observer(recorder)
-
-    sanitizer: Optional[PodSanitizer] = None
-    if config.check_invariants:
-        if config.sanitize_every <= 0:
-            raise ConfigError("sanitize_every must be positive")
-        sanitizer = PodSanitizer(registry=metrics.registry)
-        sanitizer.attach(scheme)
-
     injector: Optional[FaultInjector] = None
+
+    def scrub_read(pba: int, nblocks: int) -> float:
+        # Jobs run on the analytic path only (see RequestPipeline.open_jobs).
+        ops = array.map(VolumeOp(OpType.READ, pba, nblocks))
+        if injector is not None:
+            injector.in_scrub = True
+        try:
+            return sim.service_disk_ops(sim.now, ops)
+        finally:
+            if injector is not None:
+                injector.in_scrub = False
+
+    node = Node(scheme, sim.disks, sim.issue_volume_ops, scrub_read)
+    pipe = RequestPipeline(
+        sim, [node], [node] * len(traces), traces, config,
+        collector, recorder, per_volume_metrics,
+        fail_slow=config.faults.fail_slow if config.faults is not None else (),
+    )
+
     if config.faults is not None:
         plan = config.faults
         if config.fault_seed is not None:
             plan = plan.with_seed(config.fault_seed)
-        injector = FaultInjector(plan, registry=metrics.registry)
+        injector = FaultInjector(plan, registry=pipe.metrics.registry)
         injector.install(sim, scheme)
         if recorder is not None:
             injector.attach_observer(recorder)
-        injector.timeline = sampler
-        injector.spans = tracer
+        injector.timeline = pipe.sampler
+        injector.spans = pipe.tracer
         # Volume-id -> namespace resolution for per-volume NVRAM-loss
         # recovery (NvramLossSpec.scope == "volume").
         injector.mapper = mapper
-        if sampler is not None:
-            # Known-in-advance fault intervals become window bands up
-            # front; tick-driven activity (rebuild progress) is noted
-            # live by the injector.
-            for fs in plan.fail_slow:
-                sampler.annotate_interval("fail_slow", fs.start, fs.end)
+        node.oracle = injector.oracle
     elif config.fault_seed is not None:
         raise ConfigError("fault_seed given without a fault plan")
 
-    requests, measured_flags = _merge_streams(traces, mapper)
-    for request in requests:
-        sim.schedule_arrival(request.time, request)
-
-    # Leased background jobs (see repro.jobs): workers claim
-    # maintenance work under epoch-fenced leases; an optional scrubber
-    # walks the volume hunting latent sector errors; per-tenant
-    # admission throttles foreground arrivals.  None = the jobs-off
-    # path, bit-identical to a build without the subsystem.
-    jobs_runtime: Optional[JobRuntime] = None
-    admission: Optional[AdmissionController] = None
-    if config.jobs is not None:
-        if config.scheduler is not None:
-            raise ConfigError(
-                "leased jobs issue maintenance I/O through the analytic "
-                "service path (event-driven schedulers are not supported)"
-            )
-        jobs_runtime = JobRuntime(
-            config.jobs,
-            sim,
-            horizon=requests[-1].time if requests else 0.0,
-            oracle=injector.oracle if injector is not None else None,
-            registry=metrics.registry,
-        )
-        jobs_runtime.timeline = sampler
-        jobs_runtime.spans = tracer
-        admission = jobs_runtime.admission
+    pipe.schedule_arrivals([ns.base for ns in mapper])
+    jobs = pipe.open_jobs(oracle=node.oracle)
+    if jobs is not None:
         if injector is not None:
             # Member-failure rebuilds become leased jobs instead of
             # self-paced ticks.
-            injector.jobs = jobs_runtime
-        scrub_spec = config.jobs.scrub
-        if scrub_spec is not None:
-
-            def scrub_read(pba: int, nblocks: int) -> float:
-                ops = array.map(VolumeOp(OpType.READ, pba, nblocks))
-                holder: Dict[str, float] = {}
-                if injector is not None:
-                    injector.in_scrub = True
-                try:
-                    sim.issue_disk_ops(ops, lambda t: holder.setdefault("t", t))
-                finally:
-                    if injector is not None:
-                        injector.in_scrub = False
-                return holder.get("t", sim.now)
-
-            jobs_runtime.submit(
-                "scrub",
-                ScrubJob(
-                    scheme.regions.total_blocks,
-                    scrub_spec.region_blocks,
-                    scrub_read,
-                    regions_cap=(
-                        scrub_spec.regions
-                        if scrub_spec.regions is not None
-                        else 0
-                    ),
-                ),
-                scrub_spec.interval,
-                not_before=scrub_spec.start,
-            )
-        jobs_runtime.start()
-
-    run_name = traces[0].name if not multi else "+".join(t.name for t in traces)
-    total_warmup = sum(t.warmup_count for t in traces)
-    #: First writer of each fingerprint, for the cross-volume vs
-    #: intra-volume split (multi-volume replays only -- the single
-    #: volume path must not pay for a dict it cannot use).
-    fp_owner: Optional[Dict[int, int]] = {} if multi else None
-    if obs.level >= TraceLevel.SUMMARY:
-        extra_run = {"volumes": len(traces)} if multi else {}
-        obs.emit(
-            TraceLevel.SUMMARY,
-            requests[0].time if requests else 0.0,
-            EventType.RUN_START,
-            trace=run_name,
-            scheme=scheme.name,
-            requests=len(requests),
-            warmup=total_warmup,
-            **extra_run,
-        )
-
-    def finish(
-        request: IORequest,
-        planned: PlannedIO,
-        arrival: float,
-        cross: int,
-        root: int = -1,
-    ) -> None:
-        issue_time = sim.now
-
-        ssd_done = issue_time
-        if planned.ssd_read_blocks or planned.ssd_write_blocks:
-            if ssd is None:
-                raise ConfigError(
-                    f"scheme {scheme.name} emitted SSD traffic but the replay "
-                    "has no ssd_params configured"
-                )
-            if planned.ssd_read_blocks:
-                ssd_done = ssd.service(issue_time, planned.ssd_read_blocks)
-            if planned.ssd_write_blocks:
-                ssd.service(issue_time, planned.ssd_write_blocks)  # background
-
-        def complete(completion: float) -> None:
-            completion = max(completion, ssd_done)
-            measured = config.collect_warmup or measured_flags[request.req_id]
-            completed_at = max(completion, issue_time)
-            if tracer is not None and root > 0:
-                if planned.volume_ops:
-                    tracer.emit(
-                        issue_time, completed_at, "disk",
-                        parent=root, req_id=request.req_id,
-                    )
-                tracer.end(completed_at, root, response=completed_at - arrival)
-            if measured:
-                metrics.record(
-                    request,
-                    arrival,
-                    completed_at,
-                    eliminated=planned.eliminated,
-                    cache_hit_blocks=planned.cache_hit_blocks,
-                    deduped_blocks=planned.deduped_blocks,
-                    cross_volume_blocks=cross,
-                )
-            if obs.level >= TraceLevel.REQUEST:
-                extra = {"volume": request.volume_id} if multi else {}
-                obs.emit(
-                    TraceLevel.REQUEST,
-                    completed_at,
-                    EventType.REQUEST_COMPLETE,
-                    req_id=request.req_id,
-                    op=request.op.value,
-                    nblocks=request.nblocks,
-                    response=completed_at - arrival,
-                    eliminated=planned.eliminated,
-                    deduped_blocks=planned.deduped_blocks,
-                    cache_hit_blocks=planned.cache_hit_blocks,
-                    measured=measured,
-                    **extra,
-                )
-
-        sim.issue_volume_ops(planned.volume_ops, complete)
-        if planned.background_ops:
-            sim.issue_volume_ops(planned.background_ops, lambda _t: None)
-
-    # Fig. 11 counts removed write requests over the measured day
-    # only, so snapshot the scheme's counters at the warm-up boundary
-    # (the first arrival that is past its volume's warm-up prefix).
-    boundary = {"writes": 0, "removed": 0, "taken": total_warmup == 0}
-    arrivals = {"count": 0}
-
-    def handle_request(request: IORequest, arrival: float) -> None:
-        now = sim.now
-        if not boundary["taken"] and measured_flags[request.req_id]:
-            boundary["writes"] = scheme.writes_total
-            boundary["removed"] = scheme.write_requests_removed
-            boundary["taken"] = True
-        root = -1
-        if tracer is not None:
-            # Root span: arrival to completion (ended in complete()).
-            root = tracer.start(arrival, "request", req_id=request.req_id)
-            if now > arrival:
-                # Admission stalled behind crash recovery.
-                tracer.emit(
-                    arrival, now, "admission.stall",
-                    parent=root, req_id=request.req_id,
-                )
-            scheme.span_parent = root
-        if sampler is not None:
-            sampler.note_gauges(
-                now,
-                nvram_bytes=float(scheme.nvram.bytes_used),
-                queue_lag=sim.queue_lag(now),
-            )
-        if obs.level >= TraceLevel.REQUEST:
-            extra = {"volume": request.volume_id} if multi else {}
-            obs.emit(
-                TraceLevel.REQUEST,
-                now,
-                EventType.REQUEST_ARRIVE,
-                req_id=request.req_id,
-                op=request.op.value,
-                lba=request.lba,
-                nblocks=request.nblocks,
-                **extra,
-            )
-        planned = scheme.process(request, now)
-        if injector is not None:
-            # Content-oracle shadow: writes establish the truth,
-            # reads are checked against it at processing time.
-            if request.is_write:
-                injector.oracle.note_write(request)
-            else:
-                injector.oracle.check_read(request, scheme)
-        cross = 0
-        if fp_owner is not None and request.fingerprints is not None:
-            vid = request.volume_id
-            for i in planned.deduped_idx:
-                owner = fp_owner.get(request.fingerprints[i])
-                if owner is not None and owner != vid:
-                    cross += 1
-            for fp in request.fingerprints:
-                fp_owner.setdefault(fp, vid)
-        if sanitizer is not None:
-            arrivals["count"] += 1
-            if arrivals["count"] % config.sanitize_every == 0:
-                sanitizer.assert_clean(scheme, now)
-        if planned.delay > 0:
-            if tracer is not None and root > 0:
-                # Fingerprint classification: the planning delay
-                # between arrival handling and op issue.
-                tracer.emit(
-                    now, now + planned.delay, "classify",
-                    parent=root, req_id=request.req_id,
-                )
-            sim.schedule_callback(
-                now + planned.delay, finish, request, planned, arrival, cross, root
-            )
-        else:
-            finish(request, planned, arrival, cross, root)
-
-    def on_arrival(now: float, request: IORequest) -> None:
-        release = now
-        if injector is not None:
-            # Crash recovery stalls admission: globally, or only for
-            # the volume whose namespace is replaying (per-volume
-            # NVRAM-loss scope).  For a global-scope stall this is
-            # exactly the legacy blocked_until value.
-            blocked = injector.blocked_until_for(request.volume_id)
-            if blocked > release:
-                release = blocked
-        if admission is not None:
-            # Per-tenant token bucket; charged even when not
-            # throttling so the bucket drains deterministically.
-            admitted = admission.admit(request.volume_id, release, request.nblocks)
-            if admitted > release:
-                release = admitted
-        if release > now:
-            # The request keeps its arrival timestamp (the stall is
-            # charged to its response time) and is processed once
-            # recovery/throttling releases it.
-            sim.schedule_callback(release, handle_request, request, now)
-            return
-        handle_request(request, now)
-
-    # Periodic cache-management epochs (POD's iCache).
-    if scheme.epoch_interval is not None and requests:
-        interval = scheme.epoch_interval
-        if interval <= 0:
-            raise ConfigError("epoch interval must be positive")
-        last_arrival = requests[-1].time
-
-        def epoch_tick() -> None:
-            ops = scheme.on_epoch(sim.now)
-            if sampler is not None:
-                # iCache partition sizes are only interesting at epoch
-                # boundaries -- that is when they move.
-                sampler.note_gauges(
-                    sim.now,
-                    icache_index_bytes=float(scheme.cache.index.capacity_bytes),
-                    icache_read_bytes=float(scheme.cache.read.capacity_bytes),
-                )
-            if sanitizer is not None:
-                # Epoch boundaries are where iCache repartitions; check
-                # the partition budgets right after the move.
-                sanitizer.assert_clean(scheme, sim.now)
-            if ops:
-                sim.issue_volume_ops(ops, lambda _t: None)
-            next_time = sim.now + interval
-            if next_time <= last_arrival + interval:
-                sim.schedule_callback(next_time, epoch_tick)
-
-        sim.schedule_callback(requests[0].time + interval, epoch_tick)
-
-    sim.run(arrival_handler=on_arrival)
-
-    if sanitizer is not None:
-        sanitizer.assert_clean(scheme, sim.now)
-
-    if jobs_runtime is not None:
-        # Mirror job counters into the registry and verify the step
-        # ledger (no step lost, none double-applied).
-        jobs_runtime.finalize()
+            injector.jobs = jobs
+        jobs.start()
+    pipe.schedule_epochs()
+    # Crash recovery stalls admission: globally, or only for the
+    # volume whose namespace is replaying (per-volume NVRAM-loss
+    # scope); a held request is charged admission at its release.
+    pipe.run(stall=injector.blocked_until_for if injector is not None else None)
 
     if injector is not None:
         # Sweep still-latent faults into the blast-radius histogram and
         # run the end-to-end content oracle over the final state.
         injector.finalize(scheme)
-
-    if obs.level >= TraceLevel.SUMMARY:
-        obs.emit(
-            TraceLevel.SUMMARY,
-            sim.now,
-            EventType.RUN_END,
-            events_processed=sim.events_processed,
-            makespan=metrics.as_dict()["makespan"],
-        )
-
-    volumes: List[Dict[str, Any]] = []
-    if per_volume_metrics:
-        tracked = set(metrics.volume_ids())
-        for ns in mapper:
-            entry: Dict[str, Any] = {
-                "volume_id": ns.volume_id,
-                "name": ns.name,
-                "logical_blocks": ns.logical_blocks,
-            }
-            if ns.volume_id in tracked:
-                entry.update(metrics.volume_as_dict(ns.volume_id))
-            else:  # volume with no measured traffic
-                entry["requests"] = 0
-            volumes.append(entry)
-
-    slo_stats: Optional[Dict[str, Any]] = None
-    if sampler is not None:
-        sampler.finish(sim.now)
-        if config.slo is not None:
-            slo_stats = evaluate_slo(config.slo, sampler.as_dict())
-
-    timeline = getattr(scheme.cache, "epoch_timeline", [])
-    return ReplayResult(
-        trace_name=run_name,
-        scheme_name=scheme.name,
-        metrics=metrics,
-        scheme_stats=scheme.stats(),
-        utilisation=sim.utilisation(),
-        capacity_blocks=scheme.capacity_blocks(),
-        writes_total=scheme.writes_total - boundary["writes"],
-        write_requests_removed=scheme.write_requests_removed - boundary["removed"],
-        epoch_timeline=[
-            e.as_dict() if hasattr(e, "as_dict") else dict(e) for e in timeline
-        ],
-        recorder=recorder,
-        sanitizer=sanitizer,
-        volumes=volumes,
-        fault_stats=injector.summary() if injector is not None else None,
-        timeline=sampler,
-        spans=tracer,
-        slo_stats=slo_stats,
-        jobs_stats=jobs_runtime.summary() if jobs_runtime is not None else None,
+    return pipe.result(
+        fault_stats=injector.summary() if injector is not None else None
     )

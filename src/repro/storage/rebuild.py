@@ -22,10 +22,11 @@ batches and charges them as background load.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import StorageError
 from repro.sim.request import DiskOp, OpType
+from repro.storage.disk import Disk
 from repro.storage.raid import RaidArray, RaidLevel
 
 
@@ -61,6 +62,18 @@ class RebuildController:
             su = g.stripe_unit_blocks
             row_blocks = g.data_disks * su
             self._live_rows = {pba // row_blocks for pba in live_pbas}
+
+    @classmethod
+    def for_disk(
+        cls,
+        raid: RaidArray,
+        failed_disk: int,
+        disk: Disk,
+        live_pbas: Optional[Iterable[int]] = None,
+    ) -> "RebuildController":
+        """Rebuild every stripe-unit row of the failed member ``disk``."""
+        rows = disk.params.total_blocks // raid.geometry.stripe_unit_blocks
+        return cls(raid, failed_disk, max(1, rows), live_pbas)
 
     # ------------------------------------------------------------------
 
@@ -150,3 +163,13 @@ class RebuildController:
         ops, end = self.plan_rows(self._next_row, rows)
         self.commit_rows(self._next_row, end)
         return ops
+
+    def summary(self) -> Dict[str, Any]:
+        """Progress snapshot for fault and cluster reports."""
+        return {
+            "done": self.done,
+            "progress": self.progress,
+            "rows_scanned": self.rows_scanned,
+            "rows_rebuilt": self.rows_rebuilt,
+            "rows_skipped": self.rows_skipped,
+        }

@@ -31,12 +31,12 @@ designed to capture).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.sim.request import IORequest, OpType
+from repro.sim.request import OpType
 from repro.traces.format import Trace, TraceRecord
 
 __all__ = [
@@ -140,11 +140,6 @@ class ColumnarTrace:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def total_chunks(self) -> int:
-        """Total write chunks (= fingerprint column length)."""
-        return len(self.fp_ids)
 
     # ------------------------------------------------------------------
     # conversions
@@ -257,7 +252,7 @@ class ColumnarTrace:
 class MergedColumns:
     """N volume streams merge-sorted into one global columnar stream.
 
-    The columnar mirror of ``replay_traces``'s ``_merge_streams``:
+    The columnar mirror of :func:`repro.sim.pipeline.merge_streams`:
     requests are rebased into their volume's slice of the shared
     domain, global request ids are positional, and the merge is stable
     (equal timestamps keep volume order).  ``measured`` flags requests
@@ -306,34 +301,6 @@ class MergedColumns:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def iter_requests(self) -> Iterator[IORequest]:
-        """Materialise :class:`IORequest` objects in merged order.
-
-        Uses :meth:`IORequest.raw` (no re-validation): every record
-        came through a validated :class:`Trace`/:class:`ColumnarTrace`.
-        """
-        pool = self.pool
-        offsets = self.fp_offsets
-        fp_list = self.fp_ids.tolist()
-        times = self.times.tolist()
-        lbas = self.lbas.tolist()
-        nblocks = self.nblocks.tolist()
-        vids = self.volume_ids.tolist()
-        is_write = self.ops == OP_WRITE
-        raw = IORequest.raw
-        read_op = OpType.READ
-        write_op = OpType.WRITE
-        for i in range(len(times)):
-            if is_write[i]:
-                fps: Optional[Tuple[int, ...]] = tuple(
-                    pool[j] for j in fp_list[offsets[i] : offsets[i + 1]]
-                )
-                op = write_op
-            else:
-                fps = None
-                op = read_op
-            yield raw(times[i], op, lbas[i], nblocks[i], fps, i, vids[i])
 
 
 def merge_columnar(

@@ -6,7 +6,7 @@ from repro.baselines.base import SchemeConfig
 from repro.constants import BLOCKS_PER_STRIPE_UNIT
 from repro.errors import ConfigError
 from repro.metrics.collector import MetricsCollector
-from repro.sim.replay import ReplayConfig, ReplayResult, _size_disks
+from repro.sim.replay import ReplayConfig, ReplayResult, size_disks
 from repro.storage.disk import DiskParams
 from repro.storage.raid import RaidLevel
 
@@ -15,25 +15,25 @@ SU = BLOCKS_PER_STRIPE_UNIT
 
 class TestSizeDisks:
     def test_default_disk_large_enough_untouched(self):
-        params = _size_disks(1000, ReplayConfig())
+        params = size_disks(1000, ReplayConfig())
         assert params.total_blocks == DiskParams().total_blocks
 
     def test_grows_for_big_volumes(self):
         need = DiskParams().total_blocks * 4
-        params = _size_disks(need, ReplayConfig())
+        params = size_disks(need, ReplayConfig())
         geometry = ReplayConfig().geometry()
         rows = params.total_blocks // SU
         assert rows * geometry.data_disks * SU >= need
 
     def test_respects_custom_params(self):
         custom = DiskParams(total_blocks=1 << 24, rpm=15000)
-        params = _size_disks(1000, ReplayConfig(disk_params=custom))
+        params = size_disks(1000, ReplayConfig(disk_params=custom))
         assert params.rpm == 15000
         assert params.total_blocks == 1 << 24
 
     def test_mechanical_params_preserved_when_growing(self):
         custom = DiskParams(total_blocks=64, seek_max=0.5)
-        params = _size_disks(10_000_000, ReplayConfig(disk_params=custom))
+        params = size_disks(10_000_000, ReplayConfig(disk_params=custom))
         assert params.seek_max == 0.5
         assert params.total_blocks > 64
 
