@@ -75,7 +75,6 @@ class FullDedupe(DedupScheme):
         if pba is None:
             return None, ops
         self.index_table.insert(fingerprint, pba)
-        self.cache.note_index_evictions(self.index_table.drain_evicted())
         return pba, ops
 
     def _choose_dedupe(

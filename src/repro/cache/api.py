@@ -53,6 +53,10 @@ class DramCache(Protocol):
     def note_index_evictions(self, evicted: Iterable[Tuple[int, Any]]) -> None:
         ...
 
+    def attach_index_table(self, index_table: Any) -> None:
+        """Take the Index table's victims (see ``IndexTable.evict_to``)."""
+        ...
+
     # -- read side -----------------------------------------------------
 
     def read_lookup(self, pba: int) -> bool:

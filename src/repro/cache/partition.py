@@ -115,6 +115,10 @@ class PartitionedCache:
     def note_index_evictions(self, evicted: Iterable[Tuple[int, Any]]) -> None:
         """Fixed partitions keep no ghost history; victims are dropped."""
 
+    def attach_index_table(self, index_table: Any) -> None:
+        """Drop the Index table's victims as they are evicted."""
+        index_table.evict_to(_drop_index_entry)
+
     def on_epoch(self, now: float) -> float:
         """Fixed partitions never rebalance; zero swap cost."""
         return 0.0
@@ -130,3 +134,7 @@ class PartitionedCache:
             "index_evictions": self.index.evictions,
             "read_evictions": self.read.evictions,
         }
+
+
+def _drop_index_entry(fingerprint: int, entry: Any) -> None:
+    """Eviction sink of a fixed partition: the victim is forgotten."""

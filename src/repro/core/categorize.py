@@ -138,17 +138,18 @@ def categorize_write(
     if n == 0:
         raise DedupError("cannot categorise an empty request")
 
-    redundant = [i for i, p in enumerate(duplicate_pbas) if p is not None]
+    unique = duplicate_pbas.count(None)
+    if unique == n:
+        # No redundant chunk, so no sequential runs either.
+        return CategoryDecision(Category.UNIQUE, [], [], [])
     runs = sequential_runs(duplicate_pbas)
 
-    if not redundant:
-        return CategoryDecision(Category.UNIQUE, [], [], runs)
-
     # Fully redundant and one sequential run covering the request.
-    if len(redundant) == n and len(runs) == 1 and runs[0] == (0, n):
+    if unique == 0 and len(runs) == 1:
         return CategoryDecision(
-            Category.FULLY_REDUNDANT, list(range(n)), redundant, runs
+            Category.FULLY_REDUNDANT, list(range(n)), list(range(n)), runs
         )
+    redundant = [i for i, p in enumerate(duplicate_pbas) if p is not None]
 
     # Partially redundant (or fully redundant but scattered): only
     # sequential runs of at least `threshold` chunks are worth the

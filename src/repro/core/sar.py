@@ -26,7 +26,7 @@ category-1/3 dedup still introduces (visible in
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.base import PlannedIO, SchemeConfig
 from repro.cache.lru import LRUCache
@@ -73,9 +73,14 @@ class SARDedupe(SelectDedupe):
         self._pending_ssd_writes += 1
         self.ssd_admitted_blocks += 1
 
-    def _process_write(self, request: IORequest, now: float) -> PlannedIO:
+    def _process_write(
+        self,
+        request: IORequest,
+        now: float,
+        unique_mask: Optional[Sequence[bool]] = None,
+    ) -> PlannedIO:
         self._pending_ssd_writes = 0
-        planned = super()._process_write(request, now)
+        planned = super()._process_write(request, now, unique_mask)
         planned.ssd_write_blocks = self._pending_ssd_writes
         return planned
 

@@ -549,9 +549,6 @@ class FaultInjector:
             # bit flip in the fingerprint field does.
             table.remove(fp)
             table.insert(flipped, entry.pba)
-            evicted = table.drain_evicted()
-            if evicted:
-                scheme.cache.note_index_evictions(evicted)
             flipped_total += 1
         self._count("index_corruptions", flipped_total)
         if self.timeline is not None and flipped_total:

@@ -9,8 +9,10 @@ the write-target interplay with the log allocator.
 import pytest
 
 from repro.baselines.base import PlannedIO, SchemeConfig
+from repro.core.pod import POD
 from repro.core.select_dedupe import SelectDedupe
-from repro.sim.request import OpType
+from repro.errors import StorageError
+from repro.sim.request import IORequest, OpType
 from tests.conftest import Oracle
 
 
@@ -126,3 +128,28 @@ class TestIntraRequestStaleness:
         # ...but the commit must not dedupe onto the now-stale block.
         o.check()
         assert scheme.stale_dedupe_avoided >= 0  # counted when it happens
+
+
+class TestLbaRange:
+    @pytest.fixture
+    def pod(self):
+        pod = POD(SchemeConfig(logical_blocks=64, memory_bytes=64 * 1024))
+        pod.process(IORequest.write(0.0, 56, [1, 2, 3]), 0.0)
+        pod.process(IORequest.read(0.5, 56, 3), 0.5)
+        return pod
+
+    @pytest.mark.parametrize(
+        "request_, message",
+        [
+            (IORequest.write(1.0, 62, [4, 5, 6]), "LBA 64 outside logical space of 64"),
+            (IORequest.write(1.0, 70, [1]), "LBA 70 outside logical space of 64"),
+            (IORequest.read(1.0, 60, 8), "LBA 64 outside logical space of 64"),
+        ],
+    )
+    def test_out_of_range_raises_before_any_state_change(self, pod, request_, message):
+        before = pod.stats()
+        lru_state = (pod.index_table.lru.hits, pod.index_table.lru.misses)
+        with pytest.raises(StorageError, match=message):
+            pod.process(request_, 1.0)
+        assert pod.stats() == before
+        assert (pod.index_table.lru.hits, pod.index_table.lru.misses) == lru_state

@@ -82,3 +82,22 @@ class TestGhostCache:
         g = GhostCache(10)
         with pytest.raises(CacheError):
             g.record_eviction("a", size=0)
+
+
+class TestGhostBulkAndViews:
+    def test_remove_many(self):
+        g = GhostCache(100, 10)
+        for key in "abc":
+            g.record_eviction(key)
+        g.remove_many(["a", "c", "zz"])
+        assert list(g.keys_mru()) == ["b"]
+        assert g.used_bytes == 10
+        assert g.hits == 0
+
+    def test_keys_is_a_live_view(self):
+        g = GhostCache(100, 10)
+        keys = g.keys()
+        g.record_eviction("a")
+        assert "a" in keys
+        g.hit("a")
+        assert "a" not in keys

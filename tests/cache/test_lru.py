@@ -145,3 +145,26 @@ class TestCounters:
         c = LRUCache(0, default_entry_size=10)
         victims = c.put("a")
         assert victims and "a" not in c
+
+
+class TestBulkAndViews:
+    def test_put_many_matches_sequential_puts(self):
+        items = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("d", 5)]
+        bulk, seq = LRUCache(30, 10), LRUCache(30, 10)
+        bulk.put("z", 0)
+        seq.put("z", 0)
+        victims = bulk.put_many(items)
+        expected = [v for key, value in items for v in seq.put(key, value)]
+        assert victims == expected
+        assert bulk.keys_lru_order() == seq.keys_lru_order()
+        assert bulk.used_bytes == seq.used_bytes
+        assert bulk.evictions == seq.evictions
+
+    def test_keys_is_a_live_view(self):
+        c = LRUCache(100, 10)
+        keys = c.keys()
+        c.put("a", 1)
+        assert "a" in keys
+        assert c.hits == 0 and c.misses == 0
+        c.remove("a")
+        assert "a" not in keys

@@ -5,6 +5,9 @@ import pytest
 from repro.baselines.base import SchemeConfig
 from repro.core.icache import ICache
 from repro.core.pod import POD
+from repro.experiments.runner import scheme_config_for
+from repro.sim.replay import ReplayConfig, replay_trace
+from repro.traces.synthetic import WEB_VM, generate_trace
 from tests.conftest import Oracle
 
 
@@ -75,3 +78,20 @@ class TestEpochBehaviour:
             if step % 10 == 0:
                 pod.on_epoch(o.now)
         o.check()
+
+
+class TestParkedIndexEntries:
+    def test_parked_entries_pruned_with_ghost_index(self):
+        # A web-vm slice under index pressure: ghost-index hits and
+        # ghost keys aged out by shrinking repartitions both happen.
+        trace = generate_trace(WEB_VM, seed=1, scale=0.05)
+        pod = POD(scheme_config_for(WEB_VM, 0.05, memory_bytes=64 * 1024))
+        replay_trace(trace, pod, ReplayConfig())
+        icache = pod.icache
+        assert icache.repartitions > 0
+        assert icache.ghost_index.hits_total > 0
+        ghost = list(icache.ghost_index.keys_mru())
+        parked = list(icache.parked_index_entries())
+        assert set(parked) == set(ghost)
+        # Kept in ghost order, oldest eviction first (swap-in relies on it).
+        assert parked == ghost[::-1]

@@ -137,3 +137,38 @@ class TestResizeRestore:
         t.lookup(2)
         s = t.stats()
         assert s["entries"] == 1 and s["hits"] == 1 and s["misses"] == 1
+
+
+class TestEvictionSinkAndBulkRestore:
+    def test_sink_receives_insert_victims_directly(self):
+        t = make_table(entries=2)
+        seen = []
+        t.evict_to(lambda fp, entry: seen.append((fp, entry.pba)))
+        for fp in range(4):
+            t.insert(fp, fp + 100)
+        assert seen == [(0, 100), (1, 101)]
+        assert t.drain_evicted() == []
+        assert set(t.pba_claims) == {102, 103}
+
+    def test_resize_still_returns_victims_with_a_sink(self):
+        t = make_table(entries=4)
+        t.evict_to(lambda fp, entry: None)
+        for fp in range(4):
+            t.insert(fp, fp + 100)
+        assert [fp for fp, _ in t.resize(2 * INDEX_ENTRY_SIZE)] == [0, 1]
+
+    def test_restore_many_skips_conflicts_and_stops_when_full(self):
+        t = make_table(entries=4)
+        t.insert(1, 10)
+        candidates = [
+            (1, IndexEntry(pba=99)),  # fingerprint live
+            (2, IndexEntry(pba=10)),  # PBA claimed by fingerprint 1
+            (3, IndexEntry(pba=30)),
+            (4, IndexEntry(pba=30)),  # PBA claimed by candidate 3
+            (5, IndexEntry(pba=50)),
+            (6, IndexEntry(pba=60)),
+            (7, IndexEntry(pba=70)),  # no slot left
+        ]
+        assert t.restore_many(candidates) == [3, 5, 6]
+        assert t.lru.keys_lru_order() == [1, 3, 5, 6]
+        assert dict(t.pba_claims) == {10: 1, 30: 3, 50: 5, 60: 6}

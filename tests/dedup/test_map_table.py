@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dedup.map_table import MapTable
-from repro.errors import DedupError
+from repro.errors import DedupError, StorageError
 from repro.storage.allocator import RegionMap
 from repro.storage.nvram import NvramMeter
 
@@ -120,3 +120,42 @@ class TestLivePbas:
 
     def test_native_identity(self, table):
         assert table.live_pbas(range(5)) == set(range(5))
+
+
+class TestClaimWriteTarget:
+    def test_in_place_home_changes_nothing(self, table):
+        assert table.claim_write_target(5) == (5, None)
+        assert len(table) == 0
+
+    def test_stale_redirection_cleared_and_freed(self, table, regions):
+        log_block = regions.log_base + 3
+        table.set_mapping(5, log_block)
+        assert table.claim_write_target(5) == (5, log_block)
+        assert not table.is_redirected(5)
+
+    def test_redirect_needed_changes_nothing(self, table):
+        table.set_mapping(1, 5)
+        assert table.claim_write_target(5) == (None, None)
+        assert table.snapshot() == {1: 5}
+
+    def test_private_log_block_kept(self, table, regions):
+        log_block = regions.log_base + 3
+        table.set_mapping(1, 5)
+        table.set_mapping(5, log_block)
+        assert table.claim_write_target(5) == (log_block, None)
+        assert table.translate(5) == log_block
+
+
+class TestRangeErrors:
+    def test_translate_many_raises_for_first_out_of_range(self, table):
+        with pytest.raises(StorageError, match="LBA 100 outside"):
+            table.translate_many([98, 99, 100, 101])
+
+    def test_live_pbas_raises_for_out_of_range(self, table):
+        table.set_mapping(1, 40)
+        with pytest.raises(StorageError, match="LBA -1 outside"):
+            table.live_pbas([1, -1])
+
+    def test_claim_write_target_raises_for_out_of_range(self, table):
+        with pytest.raises(StorageError, match="LBA 100 outside"):
+            table.claim_write_target(100)

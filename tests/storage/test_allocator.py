@@ -23,6 +23,20 @@ class TestRegionMap:
         with pytest.raises(StorageError):
             rm.home_of(-1)
 
+    @pytest.mark.parametrize(
+        "lba, nblocks, first_bad",
+        [(-2, 4, -2), (98, 4, 100), (120, 1, 120)],
+    )
+    def test_check_range_names_first_bad_block(self, lba, nblocks, first_bad):
+        rm = RegionMap(100, 10, 10, 10)
+        with pytest.raises(StorageError, match=f"LBA {first_bad} outside"):
+            rm.check_range(lba, nblocks)
+
+    def test_check_range_accepts_whole_space(self):
+        rm = RegionMap(100, 10, 10, 10)
+        rm.check_range(0, 100)
+        rm.check_range(150, 0)  # no blocks, nothing to check
+
     def test_region_predicates(self):
         rm = RegionMap(100, 20, 10, 5)
         assert rm.is_home(0) and rm.is_home(99) and not rm.is_home(100)

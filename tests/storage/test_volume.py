@@ -33,6 +33,9 @@ class TestCoalesce:
     def test_contiguous_run(self):
         assert coalesce_extents([3, 4, 5]) == [(3, 3)]
 
+    def test_unordered_contiguous_run(self):
+        assert coalesce_extents([5, 3, 4, 4]) == [(3, 3)]
+
     def test_unordered_input(self):
         assert coalesce_extents([7, 3, 4, 5, 9]) == [(3, 3), (7, 1), (9, 1)]
 
