@@ -27,6 +27,9 @@ from repro.obs.events import EventType, TraceLevel
 from repro.sim.request import IORequest
 from repro.storage.volume import VolumeOp
 
+#: The (shared, never mutated) extra-op list of an in-memory lookup.
+_NO_OPS: List[VolumeOp] = []
+
 
 class SelectDedupe(DedupScheme):
     """Selective request-based deduplication (POD's write path)."""
@@ -49,11 +52,11 @@ class SelectDedupe(DedupScheme):
         assert self.index_table is not None
         entry = self.index_table.lookup(fingerprint)
         if entry is not None:
-            return entry.pba, []
+            return entry.pba, _NO_OPS
         # Hot-index miss: treated as unique data.  Tell the cache so
         # iCache's ghost index can measure the opportunity cost.
         self.cache.on_index_miss(fingerprint)
-        return None, []
+        return None, _NO_OPS
 
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]
