@@ -163,6 +163,29 @@ class TestSwapIn:
         restored = sum(1 for fp in range(n) if table.peek(fp) is not None)
         assert restored > shrunk
 
+    def test_swap_in_order_is_count_then_recency(self):
+        ic = make_icache(
+            total_bytes=64 * INDEX_ENTRY_SIZE, step_fraction=0.25, min_fraction=0.0
+        )
+        table = IndexTable(ic.index)
+        ic.attach_index_table(table)
+        # 32 live slots: fingerprints 0..27 are evicted with Counts 0..3.
+        for fp in range(60):
+            table.insert(fp, 1000 + fp)
+            for _ in range(fp % 4):
+                table.lookup(fp)
+        ic.note_index_evictions(table.drain_evicted())
+        ic.on_index_miss(5)  # a ghost hit drops its parked entry
+        parked = dict(ic.parked_index_entries())
+        # Reference: most recently evicted first, stably sorted by Count.
+        expected = sorted(
+            ic.ghost_index.keys_mru(), key=lambda fp: parked[fp].count, reverse=True
+        )
+        assert 5 not in expected
+        ic.ghost_index.hits += 1
+        ic.on_epoch(1.0)  # the index grows by 16 slots
+        assert ic.index.keys_lru_order()[-16:] == expected[:16]
+
     def test_read_blocks_restored_on_growth(self):
         ic = make_icache(step_fraction=0.25)
         for pba in range(32):
