@@ -59,12 +59,6 @@ class IODedup(DedupScheme):
         entry = self.index_table.lookup(fingerprint)
         return (entry.pba if entry is not None else None), []
 
-    def _lookup_unique(self, fingerprint: int) -> None:
-        # I/O-Dedup's miss path only counts the miss: no ghost-cache
-        # notification (there is no adaptive cache to inform).
-        assert self.index_table is not None
-        self.index_table.lru.misses += 1
-
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]
     ) -> Set[int]:
