@@ -293,6 +293,8 @@ def replay_traces(
         # fingerprints; CDC rewrites what the scheme stores, so the
         # two are incompatible by construction.
         raise ConfigError("content-defined chunking cannot run under fault injection")
+    if batch_size is not None and batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
     if batch_size is not None and recorder is None:
         from repro.sim.batch import batch_eligible, replay_columnar
 
